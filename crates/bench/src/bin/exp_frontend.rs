@@ -1,8 +1,10 @@
 //! Sweeps the serving front-end (offered load × coalesce window ×
 //! tenants, open- and closed-loop) and writes `BENCH_frontend.json`
 //! to the repo root. Pass `--quick` for a reduced run, or
-//! `--validate` to schema-check an existing `BENCH_frontend.json`
-//! without running anything (the CI smoke job does both).
+//! `--validate` to check an existing `BENCH_frontend.json` without
+//! running anything — schema, ledger, and p50 within the coalesce
+//! window plus `frontend::P50_SLACK_US` on open-loop rows that shed
+//! nothing (the CI smoke job does both).
 
 use bench::experiments::frontend;
 

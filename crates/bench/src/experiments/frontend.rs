@@ -47,6 +47,16 @@ use workload::{ClosedLoopModel, OpenLoopModel, RequestSampler, TenantMix};
 /// coalescing included, stays under 5 ms.
 pub const SLO_US: f64 = 5_000.0;
 
+/// What the coalesce window promises, as `--validate` gates it: on an
+/// open-loop row that shed nothing, median latency stays within the
+/// window plus this slack. The window bounds how long a batch's oldest
+/// request waits for followers, so the slack covers everything else —
+/// submit, estimation, the reply hop and a loaded 2-core host. Set at
+/// twice the worst `p50_us - coalesce_window_us` seen over five full
+/// sweeps on a shared 2-core VM (667 us, the 60k rps / window-0 row),
+/// rounded up.
+pub const P50_SLACK_US: f64 = 1_400.0;
+
 /// One measured sweep point, as written to `BENCH_frontend.json`.
 #[derive(Debug, Clone, Serialize, Deserialize)]
 pub struct FrontendRow {
@@ -112,7 +122,8 @@ pub fn bench_json_path() -> PathBuf {
 }
 
 /// Validates a `BENCH_frontend.json` payload: schema, per-row quantile
-/// ordering, and the submitted-vs-resolved ledger.
+/// ordering, the submitted-vs-resolved ledger, and the window's latency
+/// bound ([`P50_SLACK_US`]) on open-loop rows without shedding.
 pub fn validate_doc(text: &str) -> Result<FrontendDoc, String> {
     let doc: FrontendDoc =
         serde_json::from_str(text).map_err(|e| format!("not valid frontend JSON: {e}"))?;
@@ -156,6 +167,14 @@ pub fn validate_doc(text: &str) -> Result<FrontendDoc, String> {
         }
         if !(0.0..=1.0).contains(&r.slo_attainment) {
             return Err(format!("row {i}: slo_attainment {}", r.slo_attainment));
+        }
+        let shed = r.shed_queue_full + r.shed_rate_limited;
+        let p50_bound_us = r.coalesce_window_us as f64 + P50_SLACK_US;
+        if r.loop_kind == "open" && shed == 0 && r.p50_us > p50_bound_us {
+            return Err(format!(
+                "row {i}: p50 {:.0} us exceeds the {} us coalesce window + {} us slack",
+                r.p50_us, r.coalesce_window_us, P50_SLACK_US
+            ));
         }
     }
     Ok(doc)
@@ -784,6 +803,38 @@ mod tests {
         doc.rows.clear();
         let text = serde_json::to_string_pretty(&doc).unwrap();
         assert!(validate_doc(&text).is_err(), "empty sweep");
+    }
+
+    #[test]
+    fn validation_bounds_open_loop_p50_by_the_window() {
+        // A 5k rps / 500 us row as the inter-arrival window served it:
+        // arrivals kept the batch open far past the window.
+        let mut doc = sample_doc();
+        let row = &mut doc.rows[0];
+        row.coalesce_window_us = 500;
+        row.shed_queue_full = 0;
+        row.shed_rate_limited = 0;
+        row.completed = row.submitted;
+        row.p50_us = 2_530.0;
+        row.p99_us = 10_383.0;
+        row.p999_us = 11_230.0;
+        let text = serde_json::to_string_pretty(&doc).unwrap();
+        assert!(validate_doc(&text).unwrap_err().contains("coalesce window"));
+
+        // Shedding rows and closed-loop rows are exempt.
+        let mut shed = doc.clone();
+        shed.rows[0].shed_queue_full = 1;
+        shed.rows[0].completed -= 1;
+        let text = serde_json::to_string_pretty(&shed).unwrap();
+        assert!(validate_doc(&text).is_ok());
+        let mut closed = doc.clone();
+        closed.rows[0].loop_kind = "closed".to_string();
+        let text = serde_json::to_string_pretty(&closed).unwrap();
+        assert!(validate_doc(&text).is_ok());
+
+        doc.rows[0].p50_us = 500.0 + P50_SLACK_US;
+        let text = serde_json::to_string_pretty(&doc).unwrap();
+        assert!(validate_doc(&text).is_ok(), "the bound is inclusive");
     }
 
     #[test]

@@ -1,8 +1,9 @@
 //! Injected time for the serving layer.
 //!
-//! The front-end needs a monotonic microsecond counter for exactly one
-//! thing: refilling per-tenant token buckets. Reading ambient time from
-//! the rate-limit path would make admission decisions non-replayable
+//! The front-end needs a monotonic microsecond counter to refill
+//! per-tenant token buckets, to seal each coalesced batch at its lead
+//! request's deadline, and to time span stages and SLO latencies.
+//! Reading ambient time from those paths would make them non-replayable
 //! (the workspace's nondeterminism lint R5 bans `Instant::now()` on
 //! estimation paths for that reason), so time is *injected*: production
 //! builds a [`Clock::monotonic`] once at startup, tests build a

@@ -16,8 +16,12 @@
 //!   with [`Rejection::RateLimited`] before they can crowd the queue.
 //! * **Cross-request batch coalescing** — worker threads play *batch
 //!   leader*: one worker holds the queue receiver, takes the first
-//!   request, then keeps draining until the queue goes quiet for the
-//!   coalesce window (or the batch hits `max_batch`). The collected
+//!   request, then keeps draining until that request's deadline — the
+//!   coalesce window is the longest the oldest request in a batch waits
+//!   for followers, counted from its admission — or until the batch
+//!   hits `max_batch`. A steady stream of arrivals cannot stretch the
+//!   window, and a lead that already queued past its deadline takes
+//!   only what is queued behind it and goes. The collected
 //!   batch pins **exactly one snapshot epoch** and runs as grouped
 //!   [`EstimatorService::estimate_batch_flat_pinned_scratch`] calls —
 //!   many tiny requests amortise into one fused NN forward pass per
@@ -33,12 +37,12 @@
 //! offline shims: plain threads, a bounded `std::sync::mpsc` channel as
 //! the run queue, and capacity-1 reply channels as one-shot futures
 //! ([`Ticket::wait`] is the `await`). Wall-clock time never enters this
-//! module — the coalesce window is a *relative* timeout handled by
-//! `recv_timeout`, and the rate limiter reads an injected
-//! [`Clock`] — so admission decisions replay deterministically under a
-//! manual clock, and the analysis pass holds this module to the
-//! panic-free + lock-order + snapshot-read rules that govern the rest
-//! of the estimation hot path.
+//! module — the coalesce deadline, the rate limiter and the span stages
+//! all read an injected [`Clock`], and `recv_timeout` only sleeps out
+//! the time left to the deadline — so admission decisions replay
+//! deterministically under a manual clock, and the analysis pass holds
+//! this module to the panic-free + lock-order + snapshot-read rules
+//! that govern the rest of the estimation hot path.
 
 use crate::clock::Clock;
 use crate::limiter::{RateLimitConfig, TenantRateLimiter};
@@ -63,9 +67,11 @@ pub struct FrontendConfig {
     /// Admission-queue bound; requests beyond it are shed. Clamped to
     /// at least 1.
     pub queue_capacity: usize,
-    /// How long a batch leader waits for the *next* request before
-    /// sealing the batch, in microseconds. `0` = greedy: take whatever
-    /// is queued right now and go.
+    /// The longest the oldest request in a batch waits for followers,
+    /// counted from its admission, in microseconds: the leader seals the
+    /// batch at the lead request's `enqueued + coalesce_window_us` on
+    /// the front-end's clock, however many requests arrive meanwhile.
+    /// `0` = greedy: take whatever is queued right now and go.
     pub coalesce_window_us: u64,
     /// Largest coalesced batch. Clamped to at least 1.
     pub max_batch: usize,
@@ -457,9 +463,9 @@ impl Frontend {
 
     /// Runs one batch-leader pass on the calling thread without
     /// blocking for new arrivals: drains whatever is queued right now
-    /// (up to `max_batch`), serves it against one pinned snapshot, and
-    /// returns the batch size. The manual-drive path for `workers: 0`
-    /// deterministic tests.
+    /// (up to `max_batch`, whatever the coalesce window), serves it
+    /// against one pinned snapshot, and returns the batch size. The
+    /// manual-drive path for `workers: 0` deterministic tests.
     pub fn drain_now(&self) -> usize {
         let (batch, _stop, coalesce_us) = collect_batch(&self.inner, false);
         process_batch(&self.inner, batch, coalesce_us)
@@ -525,18 +531,22 @@ fn worker_loop(inner: &Inner) {
 }
 
 /// One leader pass: pops the first message (blocking or not), then
-/// keeps the baton while the queue stays warm — every further request
-/// that arrives within the coalesce window joins the batch, up to
-/// `max_batch`. Returns the batch, whether this worker must stop, and
-/// how long (on the injected clock) the leader held the baton waiting
-/// for followers — the batch's coalesce span stage.
-fn collect_batch(inner: &Inner, block_for_first: bool) -> (Vec<Pending>, bool, u64) {
+/// keeps the baton until the batch's deadline — the lead request's
+/// admission time plus the coalesce window, read on the injected clock
+/// — so every request that arrives before it joins the batch, up to
+/// `max_batch`. Past the deadline (a lead that already queued for the
+/// whole window, or a zero window) only what is queued right now joins.
+/// `blocking: false` never waits: neither for the lead nor for
+/// followers. Returns the batch, whether this worker must stop, and how
+/// long (on the injected clock) the leader held the baton waiting for
+/// followers — the batch's coalesce span stage.
+fn collect_batch(inner: &Inner, blocking: bool) -> (Vec<Pending>, bool, u64) {
     let mut batch = Vec::new();
     let mut stop = false;
     let coalesce_us;
     {
         let queue_rx = inner.queue_rx.lock();
-        let first = if block_for_first {
+        let first = if blocking {
             match queue_rx.recv() {
                 Ok(msg) => msg,
                 Err(_) => return (batch, true, 0),
@@ -547,17 +557,21 @@ fn collect_batch(inner: &Inner, block_for_first: bool) -> (Vec<Pending>, bool, u
                 Err(_) => return (batch, false, 0),
             }
         };
-        match first {
-            Msg::Request(p) => batch.push(p),
+        let lead = match first {
+            Msg::Request(p) => p,
             Msg::Stop => return (batch, true, 0),
-        }
-        let window = Duration::from_micros(inner.config.coalesce_window_us);
+        };
+        let deadline_us = lead
+            .enqueued_us
+            .saturating_add(inner.config.coalesce_window_us);
+        batch.push(lead);
         let coalesce_start = inner.clock.now_micros();
         while batch.len() < inner.config.max_batch && !stop {
-            let next = if inner.config.coalesce_window_us == 0 {
-                queue_rx.try_recv().map_err(|_| RecvTimeoutError::Timeout)
+            let remaining_us = deadline_us.saturating_sub(inner.clock.now_micros());
+            let next = if blocking && remaining_us > 0 {
+                queue_rx.recv_timeout(Duration::from_micros(remaining_us))
             } else {
-                queue_rx.recv_timeout(window)
+                queue_rx.try_recv().map_err(|_| RecvTimeoutError::Timeout)
             };
             match next {
                 Ok(Msg::Request(p)) => batch.push(p),
@@ -784,6 +798,61 @@ mod tests {
         assert_eq!(r1.estimate, serial_a);
         assert_eq!(r2.estimate, serial_b);
         assert_ne!(r1.estimate.secs, r2.estimate.secs);
+    }
+
+    #[test]
+    fn drain_now_never_waits_out_the_window() {
+        let (fe, a, _) = manual_frontend(FrontendConfig {
+            coalesce_window_us: 1_000_000,
+            ..FrontendConfig::default()
+        });
+        let tickets: Vec<Ticket> = (0..3)
+            .map(|i| fe.submit(request(&a, 0, 1e5 + i as f64)).unwrap())
+            .collect();
+        let started = std::time::Instant::now();
+        assert_eq!(fe.drain_now(), 3);
+        let took = started.elapsed();
+        assert!(
+            took < Duration::from_millis(200),
+            "drain_now waited {took:?} against a 1 s window"
+        );
+        for t in tickets {
+            assert!(t.wait().is_ok());
+        }
+    }
+
+    #[test]
+    fn a_lead_past_its_deadline_takes_only_what_is_queued() {
+        let clock = Clock::manual(0);
+        let (svc, a, _) = service_with_two_systems();
+        let fe = Frontend::with_clock(
+            svc,
+            FrontendConfig {
+                workers: 0,
+                coalesce_window_us: 1_000_000,
+                ..FrontendConfig::default()
+            },
+            clock.clone(),
+        );
+        let tickets: Vec<Ticket> = (0..3)
+            .map(|i| fe.submit(request(&a, 0, 1e5 + i as f64)).unwrap())
+            .collect();
+        // The lead was admitted at 0; its 1 s window is spent in the queue.
+        clock.advance_micros(1_000_000);
+        let started = std::time::Instant::now();
+        let (batch, stop, coalesce_us) = collect_batch(&fe.inner, true);
+        let took = started.elapsed();
+        assert_eq!(batch.len(), 3);
+        assert!(!stop);
+        assert_eq!(coalesce_us, 0, "no injected time passes while sealing");
+        assert!(
+            took < Duration::from_millis(200),
+            "a blocking leader waited {took:?} past its deadline"
+        );
+        assert_eq!(process_batch(&fe.inner, batch, coalesce_us), 3);
+        for t in tickets {
+            assert!(t.wait().is_ok());
+        }
     }
 
     #[test]

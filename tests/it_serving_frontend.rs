@@ -18,6 +18,8 @@ use costing::logical_op::{
 use costing::service::EstimatorService;
 use neuro::Dataset;
 use serving::{Clock, EstimateRequest, Frontend, FrontendConfig, RateLimitConfig, Rejection};
+use std::sync::mpsc;
+use std::time::{Duration, Instant};
 
 fn flows(scale: f64) -> (LogicalOpCosting, LogicalOpCosting) {
     let mut j_in = vec![];
@@ -394,4 +396,95 @@ fn frontend_telemetry_reconciles_with_observed_outcomes() {
         .expect("coalesce histogram registered");
     assert_eq!(coalesce.count, 1, "one greedy batch served all four");
     fe.shutdown();
+}
+
+/// Deadline contract: the coalesce window bounds how long the oldest
+/// request of a batch waits for followers, counted from its admission,
+/// however densely requests arrive. A feeder paced well inside the
+/// window (it asks for 20 us gaps; timer slack may stretch them to tens
+/// of microseconds, still far below 200 us) must not be able to hold a
+/// batch open until it fills to `max_batch`.
+#[test]
+fn a_steady_stream_cannot_stretch_the_coalesce_window() {
+    const WINDOW_US: u64 = 200;
+    const MAX_BATCH: usize = 64;
+    let (service, hive, spark) = service_with_two_systems();
+    let mix = request_mix(&hive, &spark, 96);
+    let pinned = service.snapshot();
+    let serial: Vec<u64> = mix
+        .iter()
+        .map(|r| {
+            service
+                .estimate_pinned(&pinned, &r.system, r.op, &r.features)
+                .expect("serial estimate")
+                .secs
+                .to_bits()
+        })
+        .collect();
+    let fe = Frontend::new(
+        service,
+        FrontendConfig {
+            workers: 1,
+            queue_capacity: 16_384,
+            coalesce_window_us: WINDOW_US,
+            max_batch: MAX_BATCH,
+            ..FrontendConfig::default()
+        },
+    );
+
+    let (tx, rx) = mpsc::channel::<(usize, Instant, serving::Ticket)>();
+    let observed = std::thread::scope(|scope| {
+        let (mix, serial) = (&mix, &serial);
+        let waiter = scope.spawn(move || {
+            let mut observed = Vec::new();
+            for (i, submitted, ticket) in rx {
+                let reply = ticket.wait().expect("estimated");
+                let latency = submitted.elapsed();
+                assert_eq!(
+                    reply.estimate.secs.to_bits(),
+                    serial[i],
+                    "request {i}: coalesced {} differs from serial estimate_pinned",
+                    reply.estimate.secs
+                );
+                observed.push((latency, reply.batch_id));
+            }
+            observed
+        });
+        let fe = &fe;
+        let feeder = scope.spawn(move || {
+            let started = Instant::now();
+            let mut n = 0usize;
+            while started.elapsed() < Duration::from_millis(60) {
+                let i = n % mix.len();
+                let submitted = Instant::now();
+                let ticket = fe.submit(mix[i].clone()).expect("admitted");
+                tx.send((i, submitted, ticket)).expect("waiter alive");
+                n += 1;
+                std::thread::sleep(Duration::from_micros(20));
+            }
+        });
+        feeder.join().expect("feeder thread");
+        waiter.join().expect("waiter thread")
+    });
+    fe.shutdown();
+
+    assert!(
+        observed.len() >= 100,
+        "feeder submitted only {}",
+        observed.len()
+    );
+    let batches: std::collections::BTreeSet<u64> = observed.iter().map(|&(_, b)| b).collect();
+    let mean_batch = observed.len() as f64 / batches.len() as f64;
+    assert!(
+        mean_batch <= (MAX_BATCH / 2) as f64,
+        "mean batch {mean_batch:.1} over {} batches: arrivals stretched the window",
+        batches.len()
+    );
+    let mut latencies: Vec<Duration> = observed.iter().map(|&(l, _)| l).collect();
+    latencies.sort();
+    let p50 = latencies[latencies.len() / 2];
+    assert!(
+        p50 <= Duration::from_micros(WINDOW_US + 1_000),
+        "median submit-to-reply {p50:?} against a {WINDOW_US} us window"
+    );
 }
